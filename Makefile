@@ -5,7 +5,7 @@ FUZZTIME ?= 20s
 # under it so unrelated churn doesn't flake the gate).
 COVER_MIN ?= 80.0
 
-.PHONY: build test race vet fmt bench benchartifact benchcmp benchsmoke obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
+.PHONY: build test race vet fmt bench benchartifact benchcmp benchsmoke benchmod obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
 
 # BENCH_ARTIFACT is the checked-in benchmark snapshot this PR sequence
 # tracks; benchcmp diffs a fresh run against it.
@@ -55,6 +55,13 @@ benchcmp:
 # that the benchmark harness itself still works.
 benchsmoke:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...
+
+# benchmod vets and tests the nested benchmark module (xwhbench), which
+# `go test ./...` at the root skips: an API change in the main module that
+# breaks the benchmark fails here.
+benchmod:
+	$(GO) -C xwhbench vet ./...
+	$(GO) -C xwhbench test ./...
 
 # obs-smoke boots a small warehouse, runs one query, scrapes the Prometheus
 # exporter once over HTTP and verifies the payload parses.

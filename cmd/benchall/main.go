@@ -10,7 +10,7 @@
 //
 // Experiments: table4, fig7, fig8, table5, fig9, fig9detail, fig10,
 // table6, fig11, fig12, fig13, table7, table8, ablations, advisor, obs,
-// shard, tail, serve, mutate.
+// shard, serve, mutate.
 //
 // -artifact runs the key hot-path benchmarks plus the traced per-stage
 // table and writes a machine-readable JSON snapshot instead of the paper
@@ -192,11 +192,6 @@ func main() {
 		rows, err := bench.RunShard(corpus)
 		check(err)
 		fmt.Println(bench.ShardTable(rows))
-	}
-	if sel("tail") {
-		points, err := bench.RunTail(42, 8, 5, 160)
-		check(err)
-		fmt.Println(bench.TailTable(points))
 	}
 	if sel("serve") {
 		// The serving ladder needs one indexed 2LUPI warehouse; reuse the

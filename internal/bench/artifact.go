@@ -47,21 +47,6 @@ type StageEntry struct {
 	CostUSD float64 `json:"cost_usd"`
 }
 
-// TailEntry is one arm (hedging off/on) of the tail-latency experiment:
-// modeled latency percentiles of cold scatter look-ups under seeded
-// stragglers, plus the billed requests the arm cost.
-type TailEntry struct {
-	Hedged      bool  `json:"hedged"`
-	Calls       int   `json:"calls"`
-	P50Ns       int64 `json:"p50_ns"`
-	P95Ns       int64 `json:"p95_ns"`
-	P99Ns       int64 `json:"p99_ns"`
-	BilledGets  int64 `json:"billed_gets"`
-	HedgeFired  int64 `json:"hedge_fired"`
-	HedgeWon    int64 `json:"hedge_won"`
-	HedgeWasted int64 `json:"hedge_wasted"`
-}
-
 // ServeEntry is one (mix, concurrency) arm of the serving ladder: the
 // query daemon under seeded closed-loop load. Latency and throughput are
 // wall clock, so like Benchmarks they are informational across machines;
@@ -108,9 +93,6 @@ type Artifact struct {
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	Benchmarks []BenchEntry `json:"benchmarks"`
 	Stages     []StageEntry `json:"stages"`
-	// Tail is modeled (not wall-clock) and deterministic per seed, so it
-	// diffs exactly across machines; absent in pre-tail artifacts.
-	Tail []TailEntry `json:"tail,omitempty"`
 	// Serve is the serving ladder; absent in pre-serve artifacts.
 	Serve []ServeEntry `json:"serve,omitempty"`
 	// Mutate is the mixed read/write ladder over a mutable corpus; absent
@@ -257,24 +239,6 @@ func RunArtifact(scale Scale) (*Artifact, error) {
 			Units:   r.Units,
 			Bytes:   r.Bytes,
 			CostUSD: float64(r.Cost),
-		})
-	}
-
-	points, err := RunTail(42, 8, 5, 160)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range points {
-		a.Tail = append(a.Tail, TailEntry{
-			Hedged:      p.Hedged,
-			Calls:       p.Calls,
-			P50Ns:       p.P50.Nanoseconds(),
-			P95Ns:       p.P95.Nanoseconds(),
-			P99Ns:       p.P99.Nanoseconds(),
-			BilledGets:  p.BilledGets,
-			HedgeFired:  p.Fired,
-			HedgeWon:    p.Won,
-			HedgeWasted: p.WastedBill,
 		})
 	}
 

@@ -343,8 +343,6 @@ type coreMetrics struct {
 	lookupStoreRetries   *obs.Counter
 	lookupGetTimeNS      *obs.Counter
 	lookupCoalescedKeys  *obs.Counter
-	lookupDegradedKeys   *obs.Counter
-	lookupIncomplete     *obs.Counter
 	cacheHits            *obs.Counter
 	cacheMisses          *obs.Counter
 	cacheEvictions       *obs.Counter
@@ -377,8 +375,6 @@ func resolveMetrics(r *obs.Registry) coreMetrics {
 		lookupStoreRetries:   r.Counter("index.lookup.store_retries"),
 		lookupGetTimeNS:      r.Counter("index.lookup.get_time_ns"),
 		lookupCoalescedKeys:  r.Counter("index.lookup.coalesced_keys"),
-		lookupDegradedKeys:   r.Counter("index.lookup.degraded_keys"),
-		lookupIncomplete:     r.Counter("index.lookup.incomplete"),
 		cacheHits:            r.Counter("index.cache.hits"),
 		cacheMisses:          r.Counter("index.cache.misses"),
 		cacheEvictions:       r.Counter("index.cache.evictions"),
@@ -594,8 +590,6 @@ func (w *Warehouse) LookupTotals() index.LookupStats {
 		CacheEvictions: w.met.cacheEvictions.Value(),
 		StoreRetries:   w.met.lookupStoreRetries.Value(),
 		CoalescedKeys:  w.met.lookupCoalescedKeys.Value(),
-		DegradedKeys:   w.met.lookupDegradedKeys.Value(),
-		Incomplete:     w.met.lookupIncomplete.Value() > 0,
 	}
 }
 
@@ -685,10 +679,6 @@ func (w *Warehouse) noteLookup(lst index.LookupStats) {
 	w.met.lookupStoreRetries.Add(lst.StoreRetries)
 	w.met.lookupGetTimeNS.Add(int64(lst.GetTime))
 	w.met.lookupCoalescedKeys.Add(lst.CoalescedKeys)
-	w.met.lookupDegradedKeys.Add(lst.DegradedKeys)
-	if lst.Incomplete {
-		w.met.lookupIncomplete.Inc()
-	}
 	w.met.cacheHits.Add(lst.CacheHits)
 	w.met.cacheMisses.Add(lst.CacheMisses)
 	w.met.cacheEvictions.Add(lst.CacheEvictions)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cloud/ec2"
+	"repro/internal/cloud/kv"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -158,6 +160,78 @@ func TestTracedSpanTree(t *testing.T) {
 	for _, want := range []string{obs.SpanQuery, obs.SpanProcess, obs.SpanLookup, "billed:"} {
 		if !strings.Contains(tree, want) {
 			t.Errorf("FormatTree output missing %q:\n%s", want, tree)
+		}
+	}
+}
+
+// TestScatterSpanOnShardedIndex checks the lookup.scatter span of a
+// sharded index: it hangs under index.get, reports the shard count, and
+// its shards_touched and max_shard_keys match kv.ShardIndex over the keys
+// the look-up reads. It carries the read's modeled time, since sharded
+// batches are billed as one request.
+func TestScatterSpanOnShardedIndex(t *testing.T) {
+	const shards = 4
+	w, _ := indexCorpus(t, Config{Strategy: index.LU, IndexShards: shards, Trace: true}, 2, obsTestCorpus())
+	text := workload.XMark()[3].Text // one tree pattern: a single index.get
+	q, err := ParseQueryText(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The LU plan reads exactly the keys ExplainLookup lists.
+	plan := index.ExplainLookup(index.LU, q)
+	open, end := strings.Index(plan, "{"), strings.Index(plan, "}")
+	if open < 0 || end < open {
+		t.Fatalf("no key set in plan:\n%s", plan)
+	}
+	keys := strings.Split(plan[open+1:end], ", ")
+	perShard := make([]int, shards)
+	for _, k := range keys {
+		perShard[kv.ShardIndex(k, shards)]++
+	}
+	touched, maxKeys := 0, 0
+	for _, n := range perShard {
+		if n > 0 {
+			touched++
+		}
+		maxKeys = max(maxKeys, n)
+	}
+
+	_, st, err := w.RunQueryOn(ec2.Launch(w.ledger, ec2.XL), text, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gets, scatters []obs.SpanRecord
+	for _, r := range w.Tracer().QuerySpans(st.ID) {
+		switch r.Name {
+		case obs.SpanIndexGet:
+			gets = append(gets, r)
+		case obs.SpanScatter:
+			scatters = append(scatters, r)
+		}
+	}
+	if len(gets) != 1 || len(scatters) != 1 {
+		t.Fatalf("got %d %s and %d %s spans, want one each", len(gets), obs.SpanIndexGet, len(scatters), obs.SpanScatter)
+	}
+	get, sc := gets[0], scatters[0]
+	if sc.Parent != get.ID {
+		t.Errorf("%s parent = %d, want the %s span %d", obs.SpanScatter, sc.Parent, obs.SpanIndexGet, get.ID)
+	}
+	if got := get.Attr("keys"); got != strconv.Itoa(len(keys)) {
+		t.Errorf("%s keys = %s, want the %d planned keys", obs.SpanIndexGet, got, len(keys))
+	}
+	for attr, want := range map[string]int{"shards": shards, "shards_touched": touched, "max_shard_keys": maxKeys} {
+		if got := sc.Attr(attr); got != strconv.Itoa(want) {
+			t.Errorf("%s %s = %s, want %d", obs.SpanScatter, attr, got, want)
+		}
+	}
+	if sc.Modeled != get.Modeled || sc.Modeled <= 0 {
+		t.Errorf("%s modeled %v, want the parent's %v", obs.SpanScatter, sc.Modeled, get.Modeled)
+	}
+	for _, r := range []obs.SpanRecord{get, sc} {
+		for _, a := range r.Attrs {
+			if strings.HasPrefix(a.Key, "hedge_") || a.Key == "degraded_keys" {
+				t.Errorf("%s carries removed attribute %s", r.Name, a.Key)
+			}
 		}
 	}
 }

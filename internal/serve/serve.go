@@ -29,6 +29,9 @@ const DefaultQueryTimeout = 30 * time.Second
 // MaxDocumentBytes bounds one PUT /document body.
 const MaxDocumentBytes = 16 << 20
 
+// MaxQueryBytes bounds one POST /query body.
+const MaxQueryBytes = 64 << 10
+
 // Config assembles a Server.
 type Config struct {
 	// Backend runs admitted queries. Required.
@@ -189,8 +192,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxQueryBytes+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "reading body: " + err.Error()})
+		return
+	}
+	if len(body) > MaxQueryBytes {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			ErrorResponse{Error: fmt.Sprintf("serve: query body exceeds %d bytes", MaxQueryBytes)})
+		return
+	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -249,7 +262,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	s.reg.Histogram("serve.latency").ObserveWall(elapsed)
 
-	err := res.err
+	err = res.err
 	if err == nil && res.out != nil && res.out.Err != nil {
 		err = res.out.Err
 	}

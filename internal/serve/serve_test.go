@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/pricing"
 	"repro/internal/workload"
 	"repro/internal/xmark"
 )
@@ -450,5 +452,87 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 2s")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// A POST /query body over MaxQueryBytes is refused with 413 before it is
+// parsed or admitted: nothing is admitted and nothing is billed. The body
+// is a valid query padded with whitespace, so only its size rejects it.
+func TestQueryBodyTooLarge413(t *testing.T) {
+	w := buildPaintingsWarehouse(t)
+	book := pricing.Singapore2012()
+	reg := obs.NewRegistry()
+	s, err := New(Config{
+		Backend:  NewWarehouseBackend(w, 1, ec2.XL, core.WorkerOptions{}),
+		Registry: reg,
+		Bill:     func() pricing.Invoice { return book.Bill(w.Ledger().Snapshot()) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s)
+	base := "http://" + addr
+	if err := WaitReady(base, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	query, _ := json.Marshal(QueryRequest{Query: workload.Paintings()[0].Text, UseIndex: true})
+	post := func(body []byte) int {
+		resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusRequestEntityTooLarge {
+			var er ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
+				t.Fatalf("413 body is not an ErrorResponse: %+v (%v)", er, err)
+			}
+		}
+		return resp.StatusCode
+	}
+	// The per-service lines are compared rather than the total: the total
+	// sums a map, so its last bits depend on iteration order.
+	billed := func() map[string]float64 {
+		resp, err := http.Get(base + "/billing.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Lines map[string]float64 `json:"lines"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Lines
+	}
+
+	admitted := reg.Counter("serve.admitted").Value()
+	before := billed()
+	padded := append(query, bytes.Repeat([]byte(" "), MaxQueryBytes+1-len(query))...)
+	if code := post(padded); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", code)
+	}
+	if got := reg.Counter("serve.admitted").Value(); got != admitted {
+		t.Errorf("serve.admitted = %d after an oversized body, want %d", got, admitted)
+	}
+	if after := billed(); !reflect.DeepEqual(after, before) {
+		t.Errorf("oversized body changed the bill: %v -> %v", before, after)
+	}
+
+	// The same query without the padding is admitted and billed.
+	if code := post(query); code != http.StatusOK {
+		t.Fatalf("unpadded status = %d, want 200", code)
+	}
+	if got := reg.Counter("serve.admitted").Value(); got != admitted+1 {
+		t.Errorf("serve.admitted = %d, want %d", got, admitted+1)
+	}
+	if after := billed(); reflect.DeepEqual(after, before) {
+		t.Error("unpadded query billed nothing")
 	}
 }
