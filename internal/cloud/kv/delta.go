@@ -13,6 +13,11 @@ import (
 // or below their pinned version, and the compactor folds entries at or
 // below the fold horizon into the main store before removing them.
 //
+// Items follow the Store contract and are shared, read-only: Put and
+// Tombstone keep the caller's slices without copying, and Capture and
+// Pending hand the same slices to every reader, so neither the writer nor
+// a reader may modify them afterwards.
+//
 // The overlay carries no billing: it models the warehouse process's own
 // memory. Every billed operation happens when the compactor writes the
 // folded items through the metered store.

@@ -192,6 +192,11 @@ type Limits struct {
 // Store is the key-value service interface used by the index layer.
 // Every data operation returns the modeled latency the caller must charge
 // to its virtual machine timeline.
+//
+// Items are immutable once stored. Writes copy the caller's items, so a
+// caller may reuse its buffers after a write returns. Reads return shared,
+// read-only items: callers must not write into a returned item, its
+// attributes or its values.
 type Store interface {
 	// Backend names the implementation ("dynamodb" or "simpledb"); it is
 	// also the service name under which requests are metered and billed.
@@ -203,15 +208,17 @@ type Store interface {
 	DeleteTable(name string) error
 	Tables() []string
 
-	// Put inserts or fully replaces one item.
+	// Put inserts or fully replaces one item. The store keeps a copy.
 	Put(table string, item Item) (time.Duration, error)
 	// BatchPut inserts up to Limits().BatchPutItems items in one request.
+	// The store keeps copies.
 	BatchPut(table string, items []Item) (time.Duration, error)
 	// Get returns all items with the given hash key, in ascending range
-	// key order.
+	// key order. The items are shared with the store and read-only; a
+	// later write replaces them rather than changing them.
 	Get(table, hashKey string) ([]Item, time.Duration, error)
 	// BatchGet performs up to Limits().BatchGetKeys Get operations in one
-	// request.
+	// request. Its items are shared and read-only, as Get's are.
 	BatchGet(table string, hashKeys []string) (map[string][]Item, time.Duration, error)
 	// DeleteItem removes one item by its full primary key. Deleting a
 	// missing item is not an error (DynamoDB semantics).

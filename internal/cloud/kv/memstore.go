@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -49,10 +50,39 @@ type Config struct {
 }
 
 type table struct {
-	groups     map[string]map[string]Item // hash key -> range key -> item
+	groups     map[string]*group // hash key -> its items
 	userBytes  int64
 	items      int64
 	attrValues int64 // attribute name/value pairs, for overhead accounting
+}
+
+// group holds every item under one hash key. Items are immutable once
+// stored: a put stores a fresh copy and a delete drops the entry, so a
+// snapshot handed to a reader never changes under it.
+type group struct {
+	items map[string]Item // range key -> item; written under the store's write lock
+	// sorted caches items in ascending range-key order. Writers clear it
+	// under the write lock; readers build it on first use under the read
+	// lock. Concurrent builders produce equal slices, so whichever Store
+	// wins is correct.
+	sorted atomic.Pointer[[]Item]
+}
+
+// snapshot returns the group's items in ascending range-key order, building
+// and caching the sorted slice on first use since the last write. The
+// slice's capacity equals its length, so a caller's append reallocates
+// instead of writing into the cached array.
+func (g *group) snapshot() []Item {
+	if p := g.sorted.Load(); p != nil {
+		return *p
+	}
+	s := make([]Item, 0, len(g.items))
+	for _, it := range g.items {
+		s = append(s, it)
+	}
+	sort.Slice(s, func(i, j int) bool { return s[i].RangeKey < s[j].RangeKey })
+	g.sorted.Store(&s)
+	return s
 }
 
 // MemStore is the in-memory Store implementation shared by the DynamoDB and
@@ -92,7 +122,7 @@ func (s *MemStore) CreateTable(name string) error {
 	if _, ok := s.tables[name]; ok {
 		return fmt.Errorf("%w: %q", ErrTableExists, name)
 	}
-	s.tables[name] = &table{groups: make(map[string]map[string]Item)}
+	s.tables[name] = &table{groups: make(map[string]*group)}
 	return nil
 }
 
@@ -177,20 +207,23 @@ func attrValuePairs(item Item) int64 {
 	return n
 }
 
-// putLocked stores one validated item, maintaining size accounting.
+// putLocked stores a copy of one validated item, maintaining size
+// accounting. The copy is what makes returned items safe to share: the
+// caller may reuse its buffers, and the stored item is never written again.
 func (t *table) putLocked(item Item) {
 	g, ok := t.groups[item.HashKey]
 	if !ok {
-		g = make(map[string]Item)
+		g = &group{items: make(map[string]Item)}
 		t.groups[item.HashKey] = g
 	}
-	if old, ok := g[item.RangeKey]; ok {
+	if old, ok := g.items[item.RangeKey]; ok {
 		t.userBytes -= old.Size()
 		t.items--
 		t.attrValues -= attrValuePairs(old)
 	}
 	c := copyItem(item)
-	g[item.RangeKey] = c
+	g.items[item.RangeKey] = c
+	g.sorted.Store(nil)
 	t.userBytes += c.Size()
 	t.items++
 	t.attrValues += attrValuePairs(c)
@@ -232,7 +265,7 @@ func (s *MemStore) latency(bytes, unitBytes int64, clientRate, capacity float64)
 
 // Put implements Store.
 func (s *MemStore) Put(tbl string, item Item) (time.Duration, error) {
-	return s.putBatch(tbl, []Item{item}, false)
+	return s.putBatch(tbl, []Item{item})
 }
 
 // BatchPut implements Store.
@@ -240,10 +273,10 @@ func (s *MemStore) BatchPut(tbl string, items []Item) (time.Duration, error) {
 	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && len(items) > lim {
 		return 0, fmt.Errorf("%w: %d items > %d", ErrBatchTooLarge, len(items), lim)
 	}
-	return s.putBatch(tbl, items, true)
+	return s.putBatch(tbl, items)
 }
 
-func (s *MemStore) putBatch(tbl string, items []Item, batch bool) (time.Duration, error) {
+func (s *MemStore) putBatch(tbl string, items []Item) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tables[tbl]
@@ -262,7 +295,6 @@ func (s *MemStore) putBatch(tbl string, items []Item, batch bool) (time.Duration
 	}
 	d := s.writeLatency(bytes)
 	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, int64(len(items)), bytes)
-	_ = batch
 	return d, nil
 }
 
@@ -387,12 +419,13 @@ func (s *MemStore) DeleteItem(tbl, hashKey, rangeKey string) (time.Duration, err
 	}
 	keyBytes := int64(len(hashKey) + len(rangeKey))
 	if g, ok := t.groups[hashKey]; ok {
-		if old, ok := g[rangeKey]; ok {
+		if old, ok := g.items[rangeKey]; ok {
 			t.userBytes -= old.Size()
 			t.items--
 			t.attrValues -= attrValuePairs(old)
-			delete(g, rangeKey)
-			if len(g) == 0 {
+			delete(g.items, rangeKey)
+			g.sorted.Store(nil)
+			if len(g.items) == 0 {
 				delete(t.groups, hashKey)
 			}
 		}
@@ -401,6 +434,9 @@ func (s *MemStore) DeleteItem(tbl, hashKey, rangeKey string) (time.Duration, err
 	return s.writeLatency(keyBytes), nil
 }
 
+// getLocked returns the hash key's shared, read-only items in range-key
+// order and their payload bytes. Must be called with s.mu held (read or
+// write).
 func (s *MemStore) getLocked(tbl, hashKey string) ([]Item, int64, error) {
 	if hashKey == "" {
 		return nil, 0, ErrEmptyKey
@@ -410,16 +446,14 @@ func (s *MemStore) getLocked(tbl, hashKey string) ([]Item, int64, error) {
 		return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
 	g := t.groups[hashKey]
-	if len(g) == 0 {
+	if g == nil {
 		return nil, 0, nil
 	}
-	items := make([]Item, 0, len(g))
+	items := g.snapshot()
 	var bytes int64
-	for _, it := range g {
-		items = append(items, copyItem(it))
+	for _, it := range items {
 		bytes += it.Size()
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].RangeKey < items[j].RangeKey })
 	return items, bytes, nil
 }
 
@@ -454,10 +488,10 @@ func (s *MemStore) TotalBytes() int64 {
 	return n
 }
 
-// DumpTable returns every item of a table in deterministic order (hash
-// key, then range key). It is a verification/debugging helper outside the
-// billed Store API; differential tests use it to compare whole-store
-// contents across runs.
+// DumpTable returns a deep copy of every item of a table in deterministic
+// order (hash key, then range key). It is a verification/debugging helper
+// outside the billed Store API; differential tests use it to compare
+// whole-store contents across runs.
 func (s *MemStore) DumpTable(tbl string) []Item {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -472,7 +506,7 @@ func (s *MemStore) DumpTable(tbl string) []Item {
 	sort.Strings(hashKeys)
 	var out []Item
 	for _, hk := range hashKeys {
-		g := t.groups[hk]
+		g := t.groups[hk].items
 		rangeKeys := make([]string, 0, len(g))
 		for rk := range g {
 			rangeKeys = append(rangeKeys, rk)

@@ -217,14 +217,126 @@ func TestSimpleDBRejectsBinaryAndLargeValues(t *testing.T) {
 	}
 }
 
-func TestGetResultIsACopy(t *testing.T) {
+// Put copies: a caller reusing its value buffers or attribute slices after
+// any write call must not change what the store holds.
+func TestPutCopiesCallerBuffers(t *testing.T) {
+	s := dynamodb.New(meter.NewLedger())
+	s.CreateTable("idx")
+	writes := map[string]func(kv.Item) error{
+		"put":   func(it kv.Item) error { _, err := s.Put("idx", it); return err },
+		"batch": func(it kv.Item) error { _, err := s.BatchPut("idx", []kv.Item{it}); return err },
+		"multi": func(it kv.Item) error {
+			_, err := s.BatchPutMulti([]kv.TableItems{{Table: "idx", Items: []kv.Item{it}}})
+			return err
+		},
+	}
+	for name, write := range writes {
+		it := item(name, "u", attr("a", "orig", "keep"))
+		if err := write(it); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		it.Attrs[0].Values[0][0] = 'X'
+		it.Attrs[0].Values[1] = kv.Value("swapped")
+		it.Attrs[0].Name = "renamed"
+		got, _, err := s.Get("idx", name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		vs := got[0].Attr("a")
+		if len(vs) != 2 || string(vs[0]) != "orig" || string(vs[1]) != "keep" {
+			t.Errorf("%s: stored item changed with the caller's buffers: %+v", name, got[0])
+		}
+	}
+}
+
+// Get returns a shared snapshot: later writes to the same hash key replace
+// the snapshot rather than editing it, so a held result never changes,
+// while a fresh Get sees every write in range-key order.
+func TestGetSnapshotSurvivesLaterWrites(t *testing.T) {
 	s := newDynamo(t)
-	s.Put("idx", item("k", "u", attr("a", "orig")))
-	items, _, _ := s.Get("idx", "k")
-	items[0].Attrs[0].Values[0][0] = 'X'
-	again, _, _ := s.Get("idx", "k")
-	if string(again[0].Attr("a")[0]) != "orig" {
-		t.Error("store data aliased with Get result")
+	render := func(items []kv.Item) string {
+		var keys []string
+		for _, it := range items {
+			keys = append(keys, it.RangeKey+"="+string(it.Attr("a")[0]))
+		}
+		return fmt.Sprint(keys)
+	}
+	for _, r := range []string{"u2", "u4"} {
+		s.Put("idx", item("k", r, attr("a", r)))
+	}
+	held, _, _ := s.Get("idx", "k")
+	s.Put("idx", item("k", "u3", attr("a", "u3")))
+	s.Put("idx", item("k", "u1", attr("a", "u1")))
+	afterPuts, _, _ := s.Get("idx", "k")
+	if _, err := s.DeleteItem("idx", "k", "u2"); err != nil {
+		t.Fatal(err)
+	}
+	afterDelete, _, _ := s.Get("idx", "k")
+	for _, c := range []struct {
+		name  string
+		items []kv.Item
+		want  string
+	}{
+		{"held", held, "[u2=u2 u4=u4]"},
+		{"after puts", afterPuts, "[u1=u1 u2=u2 u3=u3 u4=u4]"},
+		{"after delete", afterDelete, "[u1=u1 u3=u3 u4=u4]"},
+	} {
+		if got := render(c.items); got != c.want {
+			t.Errorf("%s: Get = %s, want %s", c.name, got, c.want)
+		}
+		if cap(c.items) != len(c.items) {
+			t.Errorf("%s: Get result has spare capacity %d: a caller's append would write into the shared snapshot",
+				c.name, cap(c.items)-len(c.items))
+		}
+	}
+}
+
+// Readers build and cache a group's sorted snapshot under the read lock
+// while writers clear it under the write lock; run under -race.
+func TestConcurrentGetDuringPut(t *testing.T) {
+	s := newDynamo(t)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s.Put("idx", item("k", fmt.Sprintf("w%d-%03d", w, i), attr("a", "v")))
+				if i%10 == 9 {
+					s.DeleteItem("idx", "k", fmt.Sprintf("w%d-%03d", w, i-5))
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				items, _, err := s.Get("idx", "k")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := 1; j < len(items); j++ {
+					if items[j-1].RangeKey >= items[j].RangeKey {
+						t.Errorf("Get not sorted at %d: %q >= %q", j, items[j-1].RangeKey, items[j].RangeKey)
+						return
+					}
+				}
+				if _, _, err := s.BatchGet("idx", []string{"k", "missing"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := s.ItemCount("idx"), int64(2*(200-20)); got != want {
+		t.Errorf("ItemCount = %d, want %d", got, want)
+	}
+	if items, _, _ := s.Get("idx", "k"); int64(len(items)) != s.ItemCount("idx") {
+		t.Errorf("Get returned %d items, want %d", len(items), s.ItemCount("idx"))
 	}
 }
 
@@ -372,5 +484,40 @@ func TestAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkMemStoreBatchGet reads one full 100-key batch over groups of
+// 300 items each, the shape of a look-up fetching hot posting keys. One
+// untimed read first builds the sorted snapshots, as the first query after
+// indexing does.
+func BenchmarkMemStoreBatchGet(b *testing.B) {
+	s := dynamodb.New(meter.NewLedger())
+	s.CreateTable("idx")
+	keys := make([]string, 100)
+	for k := range keys {
+		keys[k] = fmt.Sprintf("key%03d", k)
+		var batch []kv.Item
+		for i := 0; i < 300; i++ {
+			batch = append(batch, item(keys[k], fmt.Sprintf("uuid-%04d", (i*7919)%300),
+				attr(fmt.Sprintf("doc%03d.xml", i), "/site/regions/item/name", "/site/people/person")))
+			if len(batch) == 25 {
+				if _, err := s.BatchPut("idx", batch); err != nil {
+					b.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+	}
+	if _, _, err := s.BatchGet("idx", keys); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _, err := s.BatchGet("idx", keys)
+		if err != nil || len(out) != len(keys) {
+			b.Fatalf("BatchGet = %d keys, %v", len(out), err)
+		}
 	}
 }

@@ -77,7 +77,8 @@ type TableKeys struct {
 // implementing MultiStore meters and latency-models the whole group as a
 // single request, which is what lets Sharded keep billed cost and modeled
 // time identical to the unsharded store. The total element count across
-// groups is bounded by the store's single-batch limits.
+// groups is bounded by the store's single-batch limits. Items follow the
+// Store contract: puts copy, gets return shared read-only items.
 type MultiStore interface {
 	// BatchPutMulti applies every group in one request.
 	BatchPutMulti(groups []TableItems) (time.Duration, error)
