@@ -100,7 +100,7 @@ mutatesmoke:
 # top of the checked-in seed corpora. `go test -fuzz` accepts only one
 # matching target per invocation, so discover and loop.
 fuzzsmoke:
-	@for pkg in ./internal/idblock ./internal/index ./internal/pattern ./internal/xmltree; do \
+	@for pkg in ./internal/idblock ./internal/index ./internal/pattern ./internal/xmltree ./internal/xquery; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test $$pkg -run="^$$target$$" -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \

@@ -80,7 +80,8 @@ type AutoScaler struct {
 	workers   []*Worker
 	instances []*ec2.Instance
 	peak      int
-	retired   int // processed counts of workers already stopped
+	retiring  []*Worker // taken out of the fleet, Stop not yet returned
+	retired   int       // processed counts of workers already stopped
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -114,12 +115,17 @@ func (a *AutoScaler) Peak() int {
 	return a.peak
 }
 
-// Processed sums the messages completed by all workers ever started.
+// Processed sums the messages completed by all workers ever started. A
+// worker being stopped still counts through its own counter until its
+// Stop returns and the count moves to retired, so the sum never dips.
 func (a *AutoScaler) Processed() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	total := a.retired
 	for _, wk := range a.workers {
+		total += wk.Processed()
+	}
+	for _, wk := range a.retiring {
 		total += wk.Processed()
 	}
 	return total
@@ -133,11 +139,12 @@ func (a *AutoScaler) Stop() {
 	workers := a.workers
 	instances := a.instances
 	a.workers, a.instances = nil, nil
+	a.retiring = append(a.retiring, workers...)
 	a.mu.Unlock()
 	for _, wk := range workers {
 		wk.Stop()
 		a.mu.Lock()
-		a.retired += wk.Processed()
+		a.retireLocked(wk)
 		a.mu.Unlock()
 	}
 	for _, in := range instances {
@@ -197,11 +204,23 @@ func (a *AutoScaler) scaleInLocked() {
 	last := len(a.workers) - 1
 	wk, in := a.workers[last], a.instances[last]
 	a.workers, a.instances = a.workers[:last], a.instances[:last]
-	// Graceful stop outside the lock would be nicer, but Stop only waits
-	// for the current message; keep it simple and bounded.
+	a.retiring = append(a.retiring, wk)
+	// Stop waits for the current message, so it runs outside the lock.
 	a.mu.Unlock()
 	wk.Stop()
 	in.Terminate()
 	a.mu.Lock()
+	a.retireLocked(wk)
+}
+
+// retireLocked moves a stopped worker's count from retiring to retired in
+// one step under the lock.
+func (a *AutoScaler) retireLocked(wk *Worker) {
+	for i, r := range a.retiring {
+		if r == wk {
+			a.retiring = append(a.retiring[:i], a.retiring[i+1:]...)
+			break
+		}
+	}
 	a.retired += wk.Processed()
 }

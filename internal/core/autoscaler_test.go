@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,5 +135,77 @@ func TestAutoScalerStopTerminatesInstances(t *testing.T) {
 	scaler.Stop()
 	if got := scaler.Workers(); got != 0 {
 		t.Errorf("workers after Stop = %d", got)
+	}
+}
+
+// TestAutoScalerProcessedNeverDips polls Processed while the fleet scales
+// in and while Stop winds it down: a worker being stopped must stay
+// counted until its count moves to the retired total, so the sum never
+// decreases and ends at the number of documents submitted.
+func TestAutoScalerProcessedNeverDips(t *testing.T) {
+	w := newWarehouse(t, index.LU)
+	scaler := w.StartAutoScaler(AutoScalerConfig{
+		Module:           IndexerModule,
+		Min:              1,
+		Max:              4,
+		BacklogPerWorker: 2,
+		Interval:         5 * time.Millisecond,
+		Worker: WorkerOptions{
+			Poll:      2 * time.Millisecond,
+			WorkDelay: 10 * time.Millisecond, // each Stop waits out a message
+		},
+	})
+	docs := xmark.Paintings()
+	cfg := xmark.DefaultConfig(20)
+	cfg.TargetDocBytes = 1 << 10
+	for i := 0; i < cfg.Docs; i++ {
+		docs = append(docs, xmark.GenerateDoc(cfg, i))
+	}
+	for _, d := range docs {
+		if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var dips atomic.Int64
+	var firstDip atomic.Value
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		prev := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := scaler.Processed()
+			if n < prev {
+				if dips.Add(1) == 1 {
+					firstDip.Store([2]int{prev, n})
+				}
+			}
+			prev = n
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	deadline := time.Now().Add(20 * time.Second)
+	for (w.queues.Len(LoaderQueue) > 0 || scaler.Workers() > 1 || scaler.Processed() < len(docs)) &&
+		time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	scaler.Stop()
+	close(stop)
+	<-polled
+
+	if scaler.Peak() < 2 {
+		t.Errorf("scaler never grew (peak %d), so nothing scaled in", scaler.Peak())
+	}
+	if n := dips.Load(); n > 0 {
+		t.Errorf("Processed decreased %d times; first %v", n, firstDip.Load())
+	}
+	if got := scaler.Processed(); got != len(docs) {
+		t.Errorf("processed = %d, want %d", got, len(docs))
 	}
 }

@@ -21,12 +21,11 @@
 package xmltree
 
 import (
-	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // NodeKind distinguishes the three node flavours the index sees.
@@ -114,122 +113,68 @@ var (
 	ErrEmptyDocument = errors.New("xmltree: document has no root element")
 )
 
-// Parse builds the tree for one document.
-func Parse(uri string, data []byte) (*Document, error) {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	doc := &Document{URI: uri, SourceBytes: int64(len(data))}
-
-	var (
-		stack   []*Node
-		pre     int32
-		post    int32
-		pending strings.Builder // accumulated character data
-	)
-
-	flushText := func() {
-		if pending.Len() == 0 {
-			return
-		}
-		s := pending.String()
-		pending.Reset()
-		if strings.TrimSpace(s) == "" {
-			return
-		}
-		if len(stack) == 0 {
-			return // character data outside the root: ignore
-		}
-		parent := stack[len(stack)-1]
-		pre++
-		post++
-		n := &Node{
-			Kind:   Text,
-			Text:   s,
-			ID:     NodeID{Pre: pre, Post: post, Depth: parent.ID.Depth + 1},
-			Parent: parent,
-		}
-		parent.Children = append(parent.Children, n)
-		doc.nodes = append(doc.nodes, n)
-	}
-
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parsing %s: %w", uri, err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			flushText()
-			if doc.Root != nil && len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parsing %s: multiple root elements", uri)
-			}
-			var parent *Node
-			depth := int32(1)
-			if len(stack) > 0 {
-				parent = stack[len(stack)-1]
-				depth = parent.ID.Depth + 1
-			}
-			pre++
-			el := &Node{
-				Kind:   Element,
-				Label:  t.Name.Local,
-				ID:     NodeID{Pre: pre, Depth: depth},
-				Parent: parent,
-			}
-			if parent != nil {
-				parent.Children = append(parent.Children, el)
-			} else {
-				doc.Root = el
-			}
-			doc.nodes = append(doc.nodes, el)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				pre++
-				post++
-				an := &Node{
-					Kind:   Attribute,
-					Label:  a.Name.Local,
-					Text:   a.Value,
-					ID:     NodeID{Pre: pre, Post: post, Depth: depth + 1},
-					Parent: el,
-				}
-				el.Children = append(el.Children, an)
-				doc.nodes = append(doc.nodes, an)
-			}
-			stack = append(stack, el)
-		case xml.EndElement:
-			flushText()
-			el := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			post++
-			el.ID.Post = post
-		case xml.CharData:
-			pending.Write(t)
-		default:
-			// Comments, directives and processing instructions carry no
-			// indexable content.
-		}
-	}
-	if doc.Root == nil {
-		return nil, fmt.Errorf("%w: %s", ErrEmptyDocument, uri)
-	}
-	doc.buildLabelIndex()
-	return doc, nil
-}
-
 // buildLabelIndex materializes the label → nodes map. Parse calls it
 // eagerly so that a parsed document is immutable afterwards and can be read
 // from any number of goroutines (the query pipeline evaluates one document
-// on several workers).
-func (d *Document) buildLabelIndex() {
-	d.byLabel = make(map[string][]*Node)
+// on several workers). Each label gets a dense id on first sight, so the
+// map is touched once per labelled node and once per distinct label, and
+// the lists are carved from one backing array, each capped at its length.
+func (d *Document) buildLabelIndex(s *labelScratch) {
+	s.labels = append(s.labels[:0], "")
+	s.counts = append(s.counts[:0], 0)
+	s.of = s.of[:0]
 	for _, n := range d.nodes {
-		d.byLabel[n.Label] = append(d.byLabel[n.Label], n)
+		id := int32(0) // text nodes carry the empty label
+		if n.Label != "" {
+			var ok bool
+			if id, ok = s.ids[n.Label]; !ok {
+				id = int32(len(s.labels))
+				s.ids[n.Label] = id
+				s.labels = append(s.labels, n.Label)
+				s.counts = append(s.counts, 0)
+			}
+		}
+		s.of = append(s.of, id)
+		s.counts[id]++
 	}
+	backing := make([]*Node, len(d.nodes))
+	s.lists = s.lists[:0]
+	off := int32(0)
+	for _, c := range s.counts {
+		s.lists = append(s.lists, backing[off:off:off+c])
+		off += c
+	}
+	for i, n := range d.nodes {
+		s.lists[s.of[i]] = append(s.lists[s.of[i]], n)
+	}
+	d.byLabel = make(map[string][]*Node, len(s.labels))
+	for id, label := range s.labels {
+		if len(s.lists[id]) > 0 {
+			d.byLabel[label] = s.lists[id]
+		}
+	}
+}
+
+// labelScratch is buildLabelIndex's working memory, reusable across
+// documents once reset.
+type labelScratch struct {
+	ids    map[string]int32 // label → dense id; "" is id 0
+	labels []string         // id → label
+	counts []int32          // id → nodes carrying it
+	of     []int32          // node index → label id
+	lists  [][]*Node        // id → its carved list
+}
+
+func newLabelScratch() *labelScratch {
+	return &labelScratch{ids: make(map[string]int32)}
+}
+
+// reset drops every reference into the last document.
+func (s *labelScratch) reset() {
+	clear(s.ids)
+	clear(s.labels)
+	clear(s.lists)
+	s.labels, s.counts, s.of, s.lists = s.labels[:0], s.counts[:0], s.of[:0], s.lists[:0]
 }
 
 // NodeCount returns the number of nodes (elements, attributes, texts).
@@ -255,7 +200,7 @@ func (d *Document) NodeByPre(pre int32) *Node {
 // must not modify the result.
 func (d *Document) NodesByLabel(label string) []*Node {
 	if d.byLabel == nil {
-		d.buildLabelIndex()
+		d.buildLabelIndex(newLabelScratch())
 	}
 	return d.byLabel[label]
 }
@@ -268,9 +213,31 @@ func (n *Node) Value() string {
 	case Attribute, Text:
 		return n.Text
 	}
+	if text, ok := n.soleText(); ok {
+		return text
+	}
 	var b strings.Builder
 	n.appendText(&b)
 	return b.String()
+}
+
+// soleText returns the text of an element whose only non-attribute child
+// is a text node, the common leaf shape, whose value needs no builder.
+func (n *Node) soleText() (string, bool) {
+	var only *Node
+	for _, c := range n.Children {
+		if c.Kind == Attribute {
+			continue
+		}
+		if only != nil || c.Kind != Text {
+			return "", false
+		}
+		only = c
+	}
+	if only == nil {
+		return "", false
+	}
+	return only.Text, true
 }
 
 func (n *Node) appendText(b *strings.Builder) {
@@ -368,14 +335,37 @@ func Words(s string) []string {
 }
 
 // ContainsWord reports whether the word w occurs in the value s, the
-// semantics of the contains(c) predicate.
+// semantics of the contains(c) predicate: whether w is one of Words(s). It
+// scans s in place. Every non-word rune is a single ASCII byte, so an
+// occurrence of w that is itself all word runes and is bounded by non-word
+// bytes (or the ends of s) is exactly one of the words of s.
 func ContainsWord(s, w string) bool {
-	for _, got := range Words(s) {
-		if got == w {
-			return true
+	if w == "" {
+		return false
+	}
+	for _, r := range w {
+		if !isWordRune(r) {
+			return false
 		}
 	}
-	return false
+	for off := 0; ; {
+		i := strings.Index(s[off:], w)
+		if i < 0 {
+			return false
+		}
+		i += off
+		end := i + len(w)
+		if (i == 0 || !isWordByte(s[i-1])) && (end == len(s) || !isWordByte(s[end])) {
+			return true
+		}
+		off = i + 1
+	}
+}
+
+// isWordByte reports whether byte c can belong to a word: a word rune in
+// ASCII, or any byte of a multi-byte (or invalid) sequence.
+func isWordByte(c byte) bool {
+	return c >= utf8.RuneSelf || isWordRune(rune(c))
 }
 
 func isWordRune(r rune) bool {
