@@ -5,7 +5,7 @@ FUZZTIME ?= 20s
 # under it so unrelated churn doesn't flake the gate).
 COVER_MIN ?= 80.0
 
-.PHONY: build test race vet fmt bench benchartifact benchcmp benchsmoke benchmod obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
+.PHONY: build test race vet fmt bench benchartifact benchcmp benchsmoke benchmod obs-smoke servesmoke mutatesmoke examples check fuzzsmoke coverage
 
 # BENCH_ARTIFACT is the checked-in benchmark snapshot this PR sequence
 # tracks; benchcmp diffs a fresh run against it.
@@ -95,6 +95,14 @@ mutatesmoke:
 			-write-every 3 -write-docs 24 -remove-every 4 \
 			-check-metrics; rc=$$?; \
 		kill -TERM $$pid 2>/dev/null; wait $$pid; exit $$rc
+
+# examples runs every example program end to end and fails on the first
+# non-zero exit.
+examples:
+	@for ex in examples/*/; do \
+		echo "== go run ./$$ex"; \
+		$(GO) run ./$$ex || { echo "example $$ex failed"; exit 1; }; \
+	done
 
 # fuzzsmoke runs every native fuzz target for FUZZTIME of live mutation on
 # top of the checked-in seed corpora. `go test -fuzz` accepts only one

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cloud/ec2"
 	"repro/internal/core"
+	"repro/internal/idblock"
 	"repro/internal/index"
 	"repro/internal/workload"
 	"repro/internal/xmltree"
@@ -199,10 +200,11 @@ func RunArtifact(scale Scale) (*Artifact, error) {
 	add("IDCodec/decode-blocked", decode(blocked))
 
 	// The two blocked payload families head to head over the same set:
-	// decode-blocked above tracks whatever the default writer emits (packed
-	// since the bit-packed format landed), while this pair keeps both wire
-	// formats measured explicitly so their ratio is visible in one artifact.
-	blockedVarint := index.EncodeIDsBlockedVarint(ids, 48<<10)
+	// decode-blocked above tracks what the writer emits (packed), while
+	// this pair keeps both wire formats measured explicitly so their ratio
+	// is visible in one artifact. Version-1 blobs are only read (older
+	// stores hold them), so idblock.Encode builds that side.
+	blockedVarint := idblock.Encode(ids, 0, 48<<10)
 	add("DecodeBlock/varint", decode(blockedVarint))
 	add("DecodeBlock/packed", decode(blocked))
 

@@ -84,20 +84,19 @@ func TestAutoScalerQueryModule(t *testing.T) {
 		Worker:           WorkerOptions{Poll: 5 * time.Millisecond},
 	})
 	defer scaler.Stop()
+	f := NewFrontend(w)
+	defer f.Close()
 
-	var ids []string
+	var outcomes []<-chan *QueryOutcome
 	for i := 0; i < 8; i++ {
-		id, err := w.SubmitQuery(`//painting[/name{val}]`, true)
+		_, ch, err := f.Submit(`//painting[/name{val}]`, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		outcomes = append(outcomes, ch)
 	}
-	for _, id := range ids {
-		out, err := w.AwaitResult(id, 15*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, ch := range outcomes {
+		out := awaitOutcome(t, ch, 15*time.Second)
 		if out.Err != nil {
 			t.Fatal(out.Err)
 		}

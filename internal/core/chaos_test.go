@@ -395,3 +395,72 @@ func TestIndexCorpusOnRerunAfterFailure(t *testing.T) {
 		t.Errorf("loader queue still holds %d messages", n)
 	}
 }
+
+// TestChaosFrontendAnswersEachQueryOnce runs the served query path — a
+// Frontend over two live query processors — under queue-only chaos:
+// duplicated deliveries and forced lease expiries make the processors
+// answer some queries twice. Every outcome must equal the clean
+// synchronous answer, and once the last outcome is in, both queues must
+// drain: each duplicate response is deleted, not kept in circulation.
+func TestChaosFrontendAnswersEachQueryOnce(t *testing.T) {
+	seed := chaosSeed(t)
+	w, err := New(Config{Strategy: index.TwoLUPI, Chaos: &chaos.Plan{Seed: seed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uris []string
+	for _, d := range chaosCorpus(seed) {
+		if _, err := w.files.Put(Bucket, DocKey(d.URI), d.Data, nil); err != nil {
+			t.Fatal(err)
+		}
+		uris = append(uris, d.URI)
+	}
+	if _, err := w.IndexCorpusOn(ec2.LaunchFleet(w.ledger, ec2.Large, 2), uris); err != nil {
+		t.Fatal(err)
+	}
+	want := runWorkload(t, w)
+
+	w.ChaosInjector().SetRates(chaos.Rates{DupDeliver: 0.20, ExpireLease: 0.15})
+	opts := WorkerOptions{Visibility: 200 * time.Millisecond, Poll: 5 * time.Millisecond}
+	for i := 0; i < 2; i++ {
+		wk := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), opts)
+		defer wk.Stop()
+	}
+	f := NewFrontend(w)
+	defer f.Close()
+
+	queries := workload.XMark()
+	outcomes := make([]<-chan *QueryOutcome, len(queries))
+	for i, q := range queries {
+		if _, outcomes[i], err = f.Submit(q.Text, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, q := range queries {
+		out := awaitOutcome(t, outcomes[i], 30*time.Second)
+		if out.Err != nil {
+			t.Fatalf("%s: %v", q.Name, out.Err)
+		}
+		rows := make([]string, len(out.Result.Rows))
+		for j, r := range out.Result.Rows {
+			rows[j] = fmt.Sprintf("%s|%v", r.URI, r.Cols)
+		}
+		sort.Strings(rows)
+		if fmt.Sprint(rows) != fmt.Sprint(want[q.Name]) {
+			t.Errorf("%s: chaotic answer %d rows, clean %d rows or different rows", q.Name, len(rows), len(want[q.Name]))
+		}
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) && w.Queues().Len(QueryQueue)+w.Queues().Len(ResponseQueue) > 0 {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if q, r := w.Queues().Len(QueryQueue), w.Queues().Len(ResponseQueue); q+r != 0 {
+		t.Errorf("%d query and %d response messages left after the last outcome", q, r)
+	}
+	c := w.ChaosCounts()
+	t.Logf("chaos: %+v", c)
+	if c.DupDeliveries+c.ExpiredLeases == 0 {
+		t.Error("queue chaos injected no faults")
+	}
+}

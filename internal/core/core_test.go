@@ -1,12 +1,15 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cloud/ec2"
+	"repro/internal/cloud/s3"
 	"repro/internal/index"
 	"repro/internal/xmark"
 )
@@ -186,11 +189,9 @@ func TestLivePipelineEndToEnd(t *testing.T) {
 	// One live query processor; query through the front end (7-8, 16-18).
 	qp := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{})
 	defer qp.Stop()
-	id, err := w.SubmitQuery(`//painting[/name~"Lion", /painter[/name[/last{val}]]]`, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := w.AwaitResult(id, 10*time.Second)
+	f := NewFrontend(w)
+	defer f.Close()
+	out, err := f.Do(`//painting[/name~"Lion", /painter[/name[/last{val}]]]`, true, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +238,9 @@ func TestErrorQueryReportedThroughResponseQueue(t *testing.T) {
 	w := newWarehouse(t, index.LU)
 	qp := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{})
 	defer qp.Stop()
-	id, err := w.SubmitQuery(`not a ( valid query`, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := w.AwaitResult(id, 5*time.Second)
+	f := NewFrontend(w)
+	defer f.Close()
+	out, err := f.Do(`not a ( valid query`, true, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,20 +249,95 @@ func TestErrorQueryReportedThroughResponseQueue(t *testing.T) {
 	}
 }
 
+// Each waiter receives its own query's outcome, whatever order the
+// responses arrive and the callers wait in.
 func TestAwaitResultSkipsForeignResponses(t *testing.T) {
 	w := newWarehouse(t, index.LU)
+	loadPaintings(t, w, []*ec2.Instance{ec2.Launch(w.ledger, ec2.Large)})
 	qp := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{})
 	defer qp.Stop()
-	// Two queries; await the second first.
-	idA, _ := w.SubmitQuery(`//painting`, true)
-	idB, _ := w.SubmitQuery(`//museum`, true)
-	outB, err := w.AwaitResult(idB, 10*time.Second)
-	if err != nil || outB.Err != nil {
-		t.Fatalf("await B: %v / %v", err, outB)
+	f := NewFrontend(w)
+	defer f.Close()
+	// Two queries; wait for the second first.
+	idA, chA, err := f.Submit(`//painting[/name{val}]`, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	outA, err := w.AwaitResult(idA, 10*time.Second)
-	if err != nil || outA.Err != nil {
-		t.Fatalf("await A: %v / %v", err, outA)
+	idB, chB, err := f.Submit(`//museum[/name{val}]`, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id   string
+		ch   <-chan *QueryOutcome
+		rows int
+	}{{idB, chB, 4}, {idA, chA, 9}} {
+		out := awaitOutcome(t, c.ch, 10*time.Second)
+		if out.Err != nil || out.ID != c.id {
+			t.Fatalf("outcome for %s: %+v", c.id, out)
+		}
+		if len(out.Result.Rows) != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.id, len(out.Result.Rows), c.rows)
+		}
+	}
+}
+
+// failFirstResultGet fails the first result-object fetch (step 17).
+type failFirstResultGet struct {
+	fileService
+	failed bool
+}
+
+func (f *failFirstResultGet) Get(bkt, key string) (s3.Object, time.Duration, error) {
+	if strings.HasPrefix(key, resultsPrefix) && !f.failed {
+		f.failed = true
+		return s3.Object{}, 0, s3.ErrTransient
+	}
+	return f.fileService.Get(bkt, key)
+}
+
+// A response RunQueryOn fails to collect must not answer a later query:
+// after a failed result fetch, and with the response queue's leases long
+// expired, the next query returns its own rows. A stale response for
+// another query sitting in the queue is skipped and deleted, never
+// returned.
+func TestRunQueryOnNeverReturnsAnotherQuerysAnswer(t *testing.T) {
+	w := newWarehouse(t, index.LU)
+	in := ec2.Launch(w.ledger, ec2.Large)
+	loadPaintings(t, w, []*ec2.Instance{in})
+	museums, _, err := w.RunQueryOn(in, `//museum[/name{val}]`, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(museums.Rows)
+
+	w.files = &failFirstResultGet{fileService: w.files}
+	if _, _, err := w.RunQueryOn(in, `//painting[/name{val}]`, true); err == nil {
+		t.Fatal("query succeeded although its result fetch failed")
+	}
+	later := time.Now().Add(time.Hour)
+	w.Queues().SetClock(func() time.Time { return later })
+	got, _, err := w.RunQueryOn(in, `//museum[/name{val}]`, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Rows) != want {
+		t.Fatalf("museum query answered with %d rows %v, want its own %d rows", len(got.Rows), got.Rows, len(museums.Rows))
+	}
+
+	stale, _ := json.Marshal(responseMessage{ID: "q-999999", ResultKey: resultsPrefix + "q-000001"})
+	if _, _, err := w.queues.Send(ResponseQueue, string(stale)); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = w.RunQueryOn(in, `//museum[/name{val}]`, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Rows) != want {
+		t.Fatalf("museum query answered with %d rows past a stale response, want its own %d", len(got.Rows), len(museums.Rows))
+	}
+	if n := w.queues.Len(ResponseQueue); n != 0 {
+		t.Errorf("response queue holds %d messages after the queries", n)
 	}
 }
 

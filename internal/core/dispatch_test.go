@@ -1,14 +1,29 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cloud/ec2"
+	"repro/internal/cloud/sqs"
 	"repro/internal/index"
 )
+
+// awaitOutcome waits up to timeout for an outcome delivered by
+// Frontend.Submit's channel.
+func awaitOutcome(t *testing.T, ch <-chan *QueryOutcome, timeout time.Duration) *QueryOutcome {
+	t.Helper()
+	select {
+	case out := <-ch:
+		return out
+	case <-time.After(timeout):
+		t.Fatalf("no outcome within %v", timeout)
+		return nil
+	}
+}
 
 func startFrontendWarehouse(t *testing.T) (*Warehouse, *Frontend, *Worker) {
 	t.Helper()
@@ -104,5 +119,35 @@ func TestFrontendCloseUnblocksWaiters(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter not released by Close")
+	}
+}
+
+// A response no caller waits for — here a duplicate for an answered query,
+// as a redelivered query message produces — is deleted on arrival rather
+// than re-leased: the response queue drains, and an idle front end makes
+// no further lease calls.
+func TestFrontendDeletesUnroutableResponse(t *testing.T) {
+	w, f, qp := startFrontendWarehouse(t)
+	defer qp.Stop()
+	defer f.Close()
+
+	out, err := f.Do(`//painting[/name{val}]`, true, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	dup, _ := json.Marshal(responseMessage{ID: out.ID, ResultKey: resultsPrefix + out.ID})
+	if _, _, err := w.queues.Send(ResponseQueue, string(dup)); err != nil {
+		t.Fatal(err)
+	}
+	before := w.Ledger().Snapshot().Get(sqs.Backend, "changeVisibility").Calls
+	time.Sleep(time.Second)
+	if n := w.queues.Len(ResponseQueue); n != 0 {
+		t.Errorf("response queue holds %d messages, want the duplicate deleted", n)
+	}
+	if n := w.Ledger().Snapshot().Get(sqs.Backend, "changeVisibility").Calls - before; n != 0 {
+		t.Errorf("%d sqs.changeVisibility calls over an idle second, want 0", n)
 	}
 }

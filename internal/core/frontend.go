@@ -1,22 +1,19 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/cloud/ec2"
-	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
 )
 
-// This file implements the front end (steps 1-3, 7-8 and 16-18 of
-// Figure 1) and the live worker loops of the two modules. Workers poll
-// their queue, renew their message lease while working, and delete the
-// message only on success — so a crashed instance's work is redelivered to
-// another worker (the fault-tolerance mechanism of Section 3).
+// This file implements document submission (steps 1-3 of Figure 1) and
+// the live worker loops of the two modules. Workers poll their queue,
+// renew their message lease while working, and delete the message only on
+// success — so a crashed instance's work is redelivered to another worker
+// (the fault-tolerance mechanism of Section 3).
 
 // SubmitDocument stores a document in the file store and enqueues a
 // loading request (steps 1-3).
@@ -36,84 +33,6 @@ func (w *Warehouse) SubmitDocument(uri string, data []byte) error {
 		w.met.submitDocs.Inc()
 	}
 	return err
-}
-
-// SubmitQuery enqueues a query (steps 7-8) and returns its identifier.
-func (w *Warehouse) SubmitQuery(queryText string, useIndex bool) (string, error) {
-	id := w.nextQueryID()
-	sp := w.tracer.Start(obs.SpanSubmitQuery)
-	sp.SetAttr("id", id)
-	defer sp.End()
-	msg := queryMessage{ID: id, Query: queryText, Strategy: w.Strategy.Name(), NoIndex: !useIndex}
-	body, err := json.Marshal(msg)
-	if err != nil {
-		sp.SetError(err)
-		return "", err
-	}
-	_, send, err := w.queues.Send(QueryQueue, string(body))
-	sp.SetModeled(send)
-	if err != nil {
-		sp.SetError(err)
-		return "", err
-	}
-	w.met.submitQueries.Inc()
-	return id, nil
-}
-
-// AwaitResult blocks until the response for the given query arrives
-// (steps 16-18) or the timeout elapses. Responses for other queries are
-// released back to the queue.
-func (w *Warehouse) AwaitResult(id string, timeout time.Duration) (*QueryOutcome, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, fmt.Errorf("core: timed out waiting for result of %s", id)
-		}
-		m, _, err := w.queues.ReceiveWait(ResponseQueue, 30*time.Second, remaining)
-		if err != nil {
-			return nil, err
-		}
-		if m == nil {
-			continue
-		}
-		var resp responseMessage
-		if err := json.Unmarshal([]byte(m.Body), &resp); err != nil {
-			return nil, err
-		}
-		if resp.ID != id {
-			// Not ours: put it back with a short lease. Releasing it
-			// outright would make the oldest-first receive hand us the
-			// same message again before any newer response.
-			if _, err := w.queues.ChangeVisibility(ResponseQueue, m.Receipt, 100*time.Millisecond); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if _, err := w.queues.Delete(ResponseQueue, m.Receipt); err != nil {
-			return nil, err
-		}
-		if resp.Error != "" {
-			return &QueryOutcome{ID: id, Err: fmt.Errorf("%w: %s", ErrQueryFailed, resp.Error)}, nil
-		}
-		obj, _, err := w.files.Get(Bucket, resp.ResultKey)
-		if err != nil {
-			return nil, err
-		}
-		w.ledger.AddEgress(int64(len(obj.Data)))
-		result, err := decodeResult(obj.Data)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryOutcome{ID: id, Result: result}, nil
-	}
-}
-
-// QueryOutcome is what the front end hands back to the user.
-type QueryOutcome struct {
-	ID     string
-	Result *engine.Result
-	Err    error
 }
 
 // Worker is a live module worker bound to one virtual instance.
@@ -328,7 +247,7 @@ func (w *Warehouse) bulkIndexerLoop(wk *Worker, in *ec2.Instance, opts WorkerOpt
 		group  []*heldMessage
 	)
 	reset := func() {
-		loader = index.NewBulkLoader(w.store, index.BulkOptions{FlushItems: w.bulkFlushItems, Obs: w.reg}, w.cache)
+		loader = index.NewBulkLoader(w.store, index.BulkOptions{Obs: w.reg}, w.cache)
 		group = nil
 	}
 	reset()
@@ -479,46 +398,28 @@ func (w *Warehouse) StartQueryProcessor(in *ec2.Instance, opts WorkerOptions) *W
 				stopRenew()
 				return
 			}
-			var qm queryMessage
-			var resp responseMessage
-			if err := json.Unmarshal([]byte(msg.Body), &qm); err != nil {
-				resp = responseMessage{Error: err.Error()}
-			} else {
-				resp.ID = qm.ID
-				root := w.tracer.Start(obs.SpanQuery)
-				root.SetAttr("id", qm.ID)
-				if _, stats, err := w.processQuery(in, qm, root); err != nil {
-					resp.Error = err.Error()
-					root.SetError(err)
-				} else {
-					resp.ResultKey = resultsPrefix + qm.ID
-					root.SetModeled(stats.ResponseTime)
-				}
-				root.End()
-			}
+			root := w.tracer.Start(obs.SpanQuery)
+			resp, stats, perr := w.answerQuery(in, msg.Body, root, nil)
+			root.SetAttr("id", resp.ID)
+			root.SetModeled(stats.ResponseTime)
+			root.SetError(perr)
+			root.End()
 			stopRenew()
 			if wk.crashedNow() {
 				return
 			}
-			body, _ := json.Marshal(resp)
-			if _, _, err := w.queues.Send(ResponseQueue, string(body)); err != nil {
-				continue
-			}
-			if _, err := w.queues.Delete(QueryQueue, msg.Receipt); err != nil {
+			if err := w.respond(resp, msg.Receipt); err != nil {
 				continue
 			}
 			wk.mu.Lock()
-			if resp.Error != "" {
+			if perr != nil {
 				wk.failures++
-			} else {
-				wk.processed++
-			}
-			wk.mu.Unlock()
-			if resp.Error != "" {
 				w.met.workerFailures.Inc()
 			} else {
+				wk.processed++
 				w.met.workerProcessed.Inc()
 			}
+			wk.mu.Unlock()
 		}
 	}()
 	return wk

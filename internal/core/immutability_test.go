@@ -49,18 +49,15 @@ func runWorkloadConcurrently(t *testing.T, w *Warehouse) {
 			wk.Stop()
 		}
 	}()
+	f := NewFrontend(w)
+	defer f.Close()
 	queries := workload.XMark()
 	var wg sync.WaitGroup
 	for i := 0; i < 2*len(queries); i++ {
 		wg.Add(1)
 		go func(q workload.Query) {
 			defer wg.Done()
-			id, err := w.SubmitQuery(q.Text, true)
-			if err != nil {
-				t.Errorf("%s: %v", q.Name, err)
-				return
-			}
-			out, err := w.AwaitResult(id, 30*time.Second)
+			out, err := f.Do(q.Text, true, 30*time.Second)
 			if err != nil {
 				t.Errorf("%s: %v", q.Name, err)
 				return

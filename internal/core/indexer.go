@@ -329,7 +329,7 @@ func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, pe
 		next = func() *indexTask { t := produce(i); i++; return t }
 	}
 
-	loader := index.NewBulkLoader(w.store, index.BulkOptions{FlushItems: w.bulkFlushItems, Obs: w.reg}, w.cache)
+	loader := index.NewBulkLoader(w.store, index.BulkOptions{Obs: w.reg}, w.cache)
 	var queue []*inflightDoc
 	uploadEnd := make(map[*ec2.Instance][]time.Duration)
 	nackAll := func() {

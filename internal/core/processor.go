@@ -72,23 +72,18 @@ type QueryStats struct {
 	Lookup index.LookupStats
 }
 
-// processQuery executes one query message on one instance and returns the
-// result rows plus statistics. It performs the exact service calls of
-// Figure 1's steps 10-14; the modeled time is scheduled on the instance.
-// When tracing is on, the work is recorded as a "process" span under parent
-// (nil parent roots it), with lookup/eval/results children; parent may
-// always be nil, and every span operation degrades to a no-op when the
-// tracer is off.
-func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs.Span) (res *engine.Result, stats QueryStats, err error) {
-	return w.processQueryView(in, msg, parent, nil)
-}
-
-// processQueryView is processQuery pinned to an explicit snapshot view.
+// processQueryView executes one query message on one instance: it performs
+// the exact service calls of Figure 1's steps 10-14, writing the result
+// rows to the file store, and schedules the modeled time on the instance.
+// When tracing is on, the work is recorded as a "process" span under
+// parent (nil parent roots it), with lookup/eval/results children; every
+// span operation degrades to a no-op when the tracer is off.
+//
 // On a mutable corpus a nil view pins the current version at admission and
 // releases it when the query settles; every index look-up and document
 // fetch of the query then sees that one consistent corpus version, no
 // matter how much indexing churn or compaction runs concurrently.
-func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent *obs.Span, view *mutate.View) (res *engine.Result, stats QueryStats, err error) {
+func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent *obs.Span, view *mutate.View) (stats QueryStats, err error) {
 	stats = QueryStats{ID: msg.ID, Strategy: msg.Strategy}
 	if msg.NoIndex {
 		stats.Strategy = "none"
@@ -113,7 +108,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 	}()
 	q, err := ParseQueryText(msg.Query)
 	if err != nil {
-		return nil, stats, err
+		return stats, err
 	}
 
 	in.TL.Level()
@@ -131,7 +126,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 			var err error
 			uris, err = w.DocumentURIs()
 			if err != nil {
-				return nil, stats, err
+				return stats, err
 			}
 		}
 		perPattern = make([][]string, len(q.Patterns))
@@ -153,7 +148,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 		if err != nil {
 			lsp.SetError(err)
 			lsp.End()
-			return nil, stats, err
+			return stats, err
 		}
 		perPattern = sets
 		stats.GetOps = lst.GetOps
@@ -201,7 +196,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 		if r.err != nil {
 			esp.SetError(r.err)
 			esp.End()
-			return nil, stats, r.err
+			return stats, r.err
 		}
 		docs[uris[i]] = r.doc
 		task := r.fetch +
@@ -215,7 +210,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 		// never let a cancelled pool pass silently.
 		esp.SetError(ferr)
 		esp.End()
-		return nil, stats, ferr
+		return stats, ferr
 	}
 	docSets := make([][]*xmltree.Document, len(perPattern))
 	for i, us := range perPattern {
@@ -227,7 +222,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 	if err != nil {
 		esp.SetError(err)
 		esp.End()
-		return nil, stats, err
+		return stats, err
 	}
 	stats.ResultRows = len(result.Rows)
 	stats.ResultBytes = result.Bytes()
@@ -243,7 +238,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 	if err != nil {
 		rsp.SetError(err)
 		rsp.End()
-		return nil, stats, err
+		return stats, err
 	}
 	in.RunOn(0, putDur)
 	rsp.SetModeled(putDur)
@@ -252,7 +247,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 
 	in.TL.Level()
 	stats.ResponseTime = in.TL.Elapsed() - t0
-	return result, stats, nil
+	return stats, nil
 }
 
 // fetchedDoc is the outcome of one step-13 task: the parsed document plus
@@ -402,13 +397,46 @@ func decodeResult(data []byte) (*engine.Result, error) {
 	return &r, nil
 }
 
+// answerQuery is the processor half of the query protocol (steps 10-14 of
+// Figure 1): it decodes a query message body, processes the query under
+// parent and builds the response message to post. The error is the
+// processing failure the response reports.
+func (w *Warehouse) answerQuery(in *ec2.Instance, body string, parent *obs.Span, view *mutate.View) (responseMessage, QueryStats, error) {
+	var msg queryMessage
+	if err := json.Unmarshal([]byte(body), &msg); err != nil {
+		return responseMessage{Error: err.Error()}, QueryStats{}, err
+	}
+	resp := responseMessage{ID: msg.ID}
+	stats, err := w.processQueryView(in, msg, parent, view)
+	if err != nil {
+		resp.Error = err.Error()
+	} else {
+		resp.ResultKey = resultsPrefix + msg.ID
+	}
+	return resp, stats, err
+}
+
+// respond posts a response (step 15), then deletes the query message it
+// answers. A processor that stops between the two leaves the query to be
+// redelivered and answered again; the front end keeps the first response
+// for an ID and deletes the rest.
+func (w *Warehouse) respond(resp responseMessage, receipt string) error {
+	body, _ := json.Marshal(resp) // plain fields: cannot fail
+	if _, _, err := w.queues.Send(ResponseQueue, string(body)); err != nil {
+		return err
+	}
+	_, err := w.queues.Delete(QueryQueue, receipt)
+	return err
+}
+
 // RunQueryOn executes one query synchronously on one instance, issuing the
 // very same queue/store requests as the live pipeline: the front end sends
 // the query message (step 8), the processor receives it (9), processes it
 // (10-14), posts the response (15) and deletes the query message; the front
-// end then receives the response (16), fetches the results (17), returns
-// them (18) and deletes the response message. useIndex=false is the
-// "no index" baseline of Section 8.
+// end then receives the response (16), deletes it, fetches the results (17)
+// and returns them (18). useIndex=false is the "no index" baseline of
+// Section 8. RunQueryOn must be the response queue's only consumer while it
+// runs: a response for any other query is deleted unread.
 func (w *Warehouse) RunQueryOn(in *ec2.Instance, queryText string, useIndex bool) (*engine.Result, QueryStats, error) {
 	return w.runQueryView(in, queryText, useIndex, nil)
 }
@@ -427,17 +455,10 @@ func (w *Warehouse) runQueryView(in *ec2.Instance, queryText string, useIndex bo
 	root := w.tracer.Start(obs.SpanQuery)
 	root.SetAttr("id", id)
 	defer root.End()
-	msg := queryMessage{ID: id, Query: queryText, Strategy: w.Strategy.Name(), NoIndex: !useIndex}
-	body, _ := json.Marshal(msg)
-	ssp := root.Child(obs.SpanSubmitQuery)
-	_, sendDur, err := w.queues.Send(QueryQueue, string(body))
-	ssp.SetModeled(sendDur)
-	ssp.SetError(err)
-	ssp.End()
+	sendDur, err := w.sendQuery(id, queryText, useIndex, root)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	w.met.submitQueries.Inc()
 	root.AddModeled(sendDur)
 	got, rtt, err := w.queues.Receive(QueryQueue, 10*time.Minute)
 	if err != nil {
@@ -448,66 +469,43 @@ func (w *Warehouse) runQueryView(in *ec2.Instance, queryText string, useIndex bo
 	}
 	in.RunOn(0, rtt)
 	root.AddModeled(rtt)
-	var parsed queryMessage
-	if err := json.Unmarshal([]byte(got.Body), &parsed); err != nil {
-		return nil, QueryStats{}, err
-	}
-
-	_, stats, perr := w.processQueryView(in, parsed, root, view)
+	answer, stats, perr := w.answerQuery(in, got.Body, root, view)
 	root.AddModeled(stats.ResponseTime)
-	resp := responseMessage{ID: parsed.ID}
-	if perr != nil {
-		resp.Error = perr.Error()
-	} else {
-		resp.ResultKey = resultsPrefix + parsed.ID
-	}
-	rbody, _ := json.Marshal(resp)
-	if _, _, err := w.queues.Send(ResponseQueue, string(rbody)); err != nil {
+	root.SetError(perr)
+	if err := w.respond(answer, got.Receipt); err != nil {
 		return nil, stats, err
-	}
-	if _, err := w.queues.Delete(QueryQueue, got.Receipt); err != nil {
-		return nil, stats, err
-	}
-	if perr != nil {
-		root.SetError(perr)
-		// Consume the error response as the front end would; leaving it
-		// queued would pair it with the NEXT query's fetch and poison every
-		// later answer on this warehouse.
-		if rm, _, err := w.queues.Receive(ResponseQueue, time.Minute); err == nil && rm != nil {
-			w.queues.Delete(ResponseQueue, rm.Receipt)
-		}
-		return nil, stats, fmt.Errorf("%w: %v", ErrQueryFailed, perr)
 	}
 
 	// Front-end side (steps 16-18).
 	fsp := root.Child(obs.SpanFetchResults)
-	bail := func(err error) error { fsp.SetError(err); fsp.End(); return err }
-	rm, frtt, err := w.queues.Receive(ResponseQueue, time.Minute)
-	if err != nil {
-		return nil, stats, bail(err)
+	defer fsp.End()
+	var frtt time.Duration
+	for {
+		rm, rtt, err := w.queues.Receive(ResponseQueue, time.Minute)
+		frtt += rtt
+		if err == nil && rm == nil {
+			err = fmt.Errorf("core: response for %s missing", id)
+		}
+		if err != nil {
+			fsp.SetError(err)
+			return nil, stats, err
+		}
+		var resp responseMessage
+		if json.Unmarshal([]byte(rm.Body), &resp) != nil || resp.ID != id {
+			// Another query's response: nobody waits for it while this
+			// synchronous query owns the response queue. A failed delete
+			// leaves it leased, out of this loop's way.
+			_, _ = w.queues.Delete(ResponseQueue, rm.Receipt)
+			continue
+		}
+		out, getDur, size := w.collectResponse(rm.Receipt, resp)
+		if out.Err != nil {
+			fsp.SetError(out.Err)
+			return nil, stats, out.Err
+		}
+		fsp.SetModeled(frtt + getDur)
+		fsp.SetAttrInt("bytes", int64(size))
+		root.AddModeled(frtt + getDur)
+		return out.Result, stats, nil
 	}
-	if rm == nil {
-		return nil, stats, bail(fmt.Errorf("core: response message missing"))
-	}
-	var response responseMessage
-	if err := json.Unmarshal([]byte(rm.Body), &response); err != nil {
-		return nil, stats, bail(err)
-	}
-	obj, getDur, err := w.files.Get(Bucket, response.ResultKey)
-	if err != nil {
-		return nil, stats, bail(err)
-	}
-	w.ledger.AddEgress(int64(len(obj.Data)))
-	if _, err := w.queues.Delete(ResponseQueue, rm.Receipt); err != nil {
-		return nil, stats, bail(err)
-	}
-	final, err := decodeResult(obj.Data)
-	if err != nil {
-		return nil, stats, bail(err)
-	}
-	fsp.SetModeled(frtt + getDur)
-	fsp.SetAttrInt("bytes", int64(len(obj.Data)))
-	fsp.End()
-	root.AddModeled(frtt + getDur)
-	return final, stats, nil
 }

@@ -359,7 +359,9 @@ func IsSorted(ids []xmltree.NodeID) bool {
 }
 
 // Encode encodes a pre-sorted identifier set into version-1 blocked blobs
-// of roughly maxBlob bytes each. A blob always holds at least one whole
+// of roughly maxBlob bytes each. The index write path emits version 2
+// (EncodePacked) only; Encode builds the version-1 blobs that older stores
+// hold, for the reader's tests, fuzz seeds and benchmarks. A blob always holds at least one whole
 // block and a block at least one triple, so hostile caps are exceeded by at
 // most one header plus one oversized triple — the same overshoot contract
 // as the legacy codec. blockSize <= 0 selects DefaultBlockSize; maxBlob

@@ -136,11 +136,6 @@ type Options struct {
 	// paper's conclusion suggests). Compressed and plain entries can
 	// coexist; readers decode transparently.
 	CompressPaths bool
-	// IDPayload selects the blocked-blob payload family for binary
-	// identifier sets. The zero value emits bit-packed frame-of-reference
-	// payloads; PayloadVarint pins the version-1 delta+varint blobs.
-	// Readers decode every format regardless.
-	IDPayload IDPayload
 }
 
 // DefaultOptions returns extraction options for a DynamoDB-backed index.
@@ -209,7 +204,7 @@ func Extract(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
 			add(t, Entry{Key: k, Values: values})
 		}
 		if t := s.idTableName(); t != "" {
-			add(t, Entry{Key: k, Values: EncodeIDsPayload(info.ids, opts.BinaryIDs, opts.MaxValueBytes, opts.IDPayload)})
+			add(t, Entry{Key: k, Values: EncodeIDs(info.ids, opts.BinaryIDs, opts.MaxValueBytes)})
 		}
 	}
 	return ex

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/idblock"
 	"repro/internal/pattern"
 	"repro/internal/xmltree"
 )
@@ -126,11 +127,11 @@ func FuzzDecodeIDsBinary(f *testing.F) {
 	// Blocked-format seeds in both payload families: a valid blob, a
 	// bit-flipped copy (the checksum must bounce it to the legacy path
 	// without a panic), a truncated prefix, and a bare magic byte.
-	// EncodeIDsBlocked emits version-2 packed payloads; the varint twin
-	// pins the version-1 wire format.
+	// EncodeIDsBlocked emits version-2 packed payloads; idblock.Encode
+	// builds the version-1 wire format older stores hold.
 	for _, blocked := range [][]byte{
 		EncodeIDsBlocked(genSortedIDs(64, 42), 0)[0],
-		EncodeIDsBlockedVarint(genSortedIDs(64, 42), 0)[0],
+		idblock.Encode(genSortedIDs(64, 42), 0, 0)[0],
 	} {
 		f.Add(blocked)
 		flipped := append([]byte(nil), blocked...)
@@ -146,12 +147,11 @@ func FuzzDecodeIDsBinary(f *testing.F) {
 			return
 		}
 		// Whatever decoded must survive every writer the store can use:
-		// the legacy stream and both blocked payload families (the latter
-		// fall back to the legacy stream on unsorted hostile decodes).
+		// the legacy stream and the blocked writer (which falls back to the
+		// legacy stream on unsorted hostile decodes).
 		for _, blobs := range [][][]byte{
 			EncodeIDsBinary(ids, 0),
 			EncodeIDsBlocked(ids, 0),
-			EncodeIDsBlockedVarint(ids, 0),
 		} {
 			if got := decodeAllBinary(t, blobs); !idsEqual(got, ids) {
 				t.Fatalf("re-encode of accepted blob %x: got %v, want %v", blob, got, ids)

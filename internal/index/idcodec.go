@@ -78,22 +78,6 @@ func EncodeIDsBinary(ids []xmltree.NodeID, maxBlob int) [][]byte {
 // a pure encoding choice.
 const blockedMinIDs = 32
 
-// IDPayload selects the per-block payload family the blocked writer emits.
-// The zero value is the frame-of-reference bit-packed format (with per-block
-// negotiation falling back to varint where varint is smaller); PayloadVarint
-// pins the pure delta+varint version-1 blobs, kept as an operational escape
-// hatch and for byte-compatibility tests against pre-packed dumps. Readers
-// accept every format regardless of this knob.
-type IDPayload int
-
-const (
-	// PayloadPacked emits version-2 blobs: per block, the smaller of a
-	// bit-packed frame-of-reference payload and a delta+varint payload.
-	PayloadPacked IDPayload = iota
-	// PayloadVarint emits version-1 blobs with delta+varint payloads only.
-	PayloadVarint
-)
-
 // EncodeIDsBlocked encodes a pre-sorted identifier set into blocked blobs
 // (package idblock) of at most maxBlob bytes: summary headers over
 // bit-packed or delta+varint block payloads, so that look-ups can skip
@@ -101,21 +85,8 @@ const (
 // unsorted inputs (which only hostile re-encodes of corrupt blobs produce,
 // never the extraction pipeline), fall back to the legacy stream format.
 func EncodeIDsBlocked(ids []xmltree.NodeID, maxBlob int) [][]byte {
-	return encodeIDsBlocked(ids, maxBlob, PayloadPacked)
-}
-
-// EncodeIDsBlockedVarint is EncodeIDsBlocked pinned to version-1
-// delta+varint payloads.
-func EncodeIDsBlockedVarint(ids []xmltree.NodeID, maxBlob int) [][]byte {
-	return encodeIDsBlocked(ids, maxBlob, PayloadVarint)
-}
-
-func encodeIDsBlocked(ids []xmltree.NodeID, maxBlob int, payload IDPayload) [][]byte {
 	if len(ids) < blockedMinIDs || !idblock.IsSorted(ids) {
 		return EncodeIDsBinary(ids, maxBlob)
-	}
-	if payload == PayloadVarint {
-		return idblock.Encode(ids, idblock.DefaultBlockSize, maxBlob)
 	}
 	return idblock.EncodePacked(ids, idblock.DefaultBlockSize, maxBlob)
 }
@@ -232,14 +203,8 @@ func DecodeIDSet(v []byte, binaryIDs bool) (*idblock.Set, []xmltree.NodeID, erro
 // blocked format (packed payloads); DecodeIDs accepts it along with the
 // version-1 blocked and legacy stream formats.
 func EncodeIDs(ids []xmltree.NodeID, binaryIDs bool, maxValue int) [][]byte {
-	return EncodeIDsPayload(ids, binaryIDs, maxValue, PayloadPacked)
-}
-
-// EncodeIDsPayload is EncodeIDs with an explicit blocked-payload choice;
-// text stores ignore the payload knob.
-func EncodeIDsPayload(ids []xmltree.NodeID, binaryIDs bool, maxValue int, payload IDPayload) [][]byte {
 	if binaryIDs {
-		return encodeIDsBlocked(ids, maxValue, payload)
+		return EncodeIDsBlocked(ids, maxValue)
 	}
 	return EncodeIDsText(ids, maxValue)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/idblock"
 	"repro/internal/pattern"
 	"repro/internal/xmltree"
 )
@@ -28,17 +29,16 @@ func decodeViaSet(t *testing.T, blob []byte) []xmltree.NodeID {
 	return all
 }
 
-// TestIDPayloadDifferential pins decode equality across the three binary
-// encodings of the same identifier set — packed-blocked, varint-blocked and
-// the legacy stream — through both the eager and the lazy decode routes,
+// TestIDPayloadDifferential pins decode equality across the binary
+// encodings of the same identifier set — the packed-blocked writer and the
+// legacy stream — through both the eager and the lazy decode routes,
 // across the widths and set sizes the block kernels specialize on.
 func TestIDPayloadDifferential(t *testing.T) {
 	for _, n := range []int{1, 31, 32, 129, 1000} {
 		for seed := int64(1); seed <= 3; seed++ {
 			ids := genSortedIDs(n, seed)
 			encodings := map[string][][]byte{
-				"packed": EncodeIDsPayload(ids, true, 0, PayloadPacked),
-				"varint": EncodeIDsBlockedVarint(ids, 0),
+				"packed": EncodeIDs(ids, true, 0),
 				"legacy": EncodeIDsBinary(ids, 0),
 			}
 			for name, blobs := range encodings {
@@ -55,8 +55,8 @@ func TestIDPayloadDifferential(t *testing.T) {
 				}
 			}
 			// Above the blocked cut-off the packed encoding must not be
-			// larger than its varint twin by more than the per-block format
-			// byte (the negotiation guarantee).
+			// larger than its version-1 varint twin (the negotiation
+			// guarantee).
 			if n >= blockedMinIDs {
 				size := func(blobs [][]byte) int {
 					total := 0
@@ -65,7 +65,7 @@ func TestIDPayloadDifferential(t *testing.T) {
 					}
 					return total
 				}
-				p, v := size(encodings["packed"]), size(encodings["varint"])
+				p, v := size(encodings["packed"]), size(idblock.Encode(ids, 0, 0))
 				if p > v {
 					t.Errorf("n=%d seed=%d: packed %d bytes > varint %d", n, seed, p, v)
 				}
@@ -101,7 +101,7 @@ func TestPostingsBytesPackedCharge(t *testing.T) {
 		return got
 	}
 	packed := charge(EncodeIDsBlocked(ids, 0)[0])
-	varint := charge(EncodeIDsBlockedVarint(ids, 0)[0])
+	varint := charge(idblock.Encode(ids, 0, 0)[0])
 	if packed >= varint {
 		t.Errorf("packed posting charged %d bytes, varint %d; packed should be cheaper", packed, varint)
 	}
